@@ -12,11 +12,11 @@
 //     speedup (tools/bench_baseline.json: throughput_min_speedup).
 //  2. Worker-count scaling sweep on a medium kernel.
 //  3. A mixed serving loop alternating the *generated* quickstart and
-//     reduction host drivers (sync, stream, and graph-replay overloads),
-//     approximating a service handling small independent requests. The
-//     graph mode captures each driver once and replays the instantiated
-//     graph per request; the replay/re-enqueue ratio is gated
-//     (tools/bench_baseline.json: graph_min_replay_speedup).
+//     reduction host drivers, approximating a service handling small
+//     independent requests.
+//  4. The compile service: cold vs warm latency and the serving-loop hit
+//     rate; the warm/cold speedup is gated
+//     (tools/bench_baseline.json: service_min_hit_speedup).
 //
 // Output lines are machine-parseable key=value rows prefixed with
 // THROUGHPUT; tools/run_benches.sh turns them into BENCH_throughput.json.
@@ -204,121 +204,31 @@ void workerSweep() {
 // 3. Mixed host-program serving loop (generated drivers)
 //===----------------------------------------------------------------------===//
 
-/// All serving loops measure best-of-N rounds: the serving rates feed
-/// the gated replay_vs_reenqueue ratio, and scheduler noise on a shared
-/// machine would otherwise dominate a single 512-request sample.
+/// The serving loop measures best-of-N rounds: scheduler noise on a
+/// shared machine would otherwise dominate a single 512-request sample.
 constexpr int ServingRounds = 3;
 
-double servingLoop(bool Streamed, int Requests) {
+void servingLoop(int Requests) {
   const size_t NQ = 256; // one block per request: serving-sized
   GpuDevice Dev;
   Dev.setWorkers(BenchWorkers);
   rt::HostBuffer<double> QVec(NQ, 1.0);
   rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
-
-  double BestMs = 0;
-  for (int Round = 0; Round != ServingRounds; ++Round) {
-    auto T0 = std::chrono::steady_clock::now();
-    if (Streamed) {
-      sim::Stream S(Dev);
-      for (int R = 0; R != Requests; ++R) {
-        if (R % 2 == 0)
-          descend::gen::run_serve(S, QVec);
-        else
-          descend::gen::run_rserve(S, RData, RPartials, RTotal);
-      }
-    } else {
-      for (int R = 0; R != Requests; ++R) {
-        if (R % 2 == 0)
-          descend::gen::run_serve(Dev, QVec);
-        else
-          descend::gen::run_rserve(Dev, RData, RPartials, RTotal);
-      }
-    }
-    double Ms = msSince(T0);
-    if (Round == 0 || Ms < BestMs)
-      BestMs = Ms;
-  }
-  report("serving", Streamed ? "generated_stream" : "generated_sync",
-         Requests, BestMs);
-  return Requests / (BestMs / 1000.0);
-}
-
-/// The same mixed serving loop over the graph-mode driver overloads: the
-/// first quickstart/reduction request captures its driver into a
-/// persistent GraphExec; every later request rebinds the host buffers and
-/// replays the instantiated graph with a single enqueue (no per-request
-/// device allocation, no per-op enqueue traffic). Prints the graph shape
-/// alongside the rate so run_benches.sh can stamp ops-per-graph and the
-/// replay count into BENCH_throughput.json.
-double servingLoopGraph(int Requests) {
-  const size_t NQ = 256; // one block per request: serving-sized
-  GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
-
-  sim::Stream S(Dev);
-  sim::GraphExec GQ, GR; // captured on the first request of each kind
 
   double BestMs = 0;
   for (int Round = 0; Round != ServingRounds; ++Round) {
     auto T0 = std::chrono::steady_clock::now();
     for (int R = 0; R != Requests; ++R) {
       if (R % 2 == 0)
-        descend::gen::run_serve(S, GQ, QVec);
+        descend::gen::run_serve(Dev, QVec);
       else
-        descend::gen::run_rserve(S, GR, RData, RPartials, RTotal);
+        descend::gen::run_rserve(Dev, RData, RPartials, RTotal);
     }
     double Ms = msSince(T0);
     if (Round == 0 || Ms < BestMs)
       BestMs = Ms;
   }
-  report("serving", "generated_graph", Requests, BestMs);
-  std::printf("THROUGHPUT graph_shape ops_quickstart=%zu ops_reduction=%zu "
-              "replays=%d\n",
-              GQ.opCount(), GR.opCount(), Requests * ServingRounds);
-  return Requests / (BestMs / 1000.0);
-}
-
-/// Whole-pipeline capture — the cudaStreamBeginCapture idiom: record one
-/// full mixed request (quickstart scale + reduction, both generated
-/// *stream* drivers) into a single graph, then serve every later request
-/// pair by replaying it with ONE enqueue and ONE join. This is the
-/// serving shape graphs exist for: the per-iteration re-enqueue baseline
-/// pays ~7 enqueues, 3 device allocations and 2 stream joins for the
-/// same work. The reduction driver's sequential CPU finish is host code,
-/// not device work, so it re-runs on the host per replay.
-double servingLoopPipeline(int Requests) {
-  const size_t NQ = 256;
-  GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
-
-  sim::Stream S(Dev);
-  S.beginCapture();
-  descend::gen::run_serve(S, QVec); // enqueues record as graph nodes
-  descend::gen::run_rserve(S, RData, RPartials, RTotal);
-  sim::GraphExec G = S.endCapture().instantiate();
-
-  const int Pairs = Requests / 2;
-  double BestMs = 0;
-  for (int Round = 0; Round != ServingRounds; ++Round) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int P = 0; P != Pairs; ++P) {
-      G.launch(S);
-      S.synchronize();
-      RTotal[0] = RPartials[0]; // the driver's host finish, nb=1
-    }
-    double Ms = msSince(T0);
-    if (Round == 0 || Ms < BestMs)
-      BestMs = Ms;
-  }
-  report("serving", "pipeline_graph", Pairs * 2, BestMs);
-  std::printf("THROUGHPUT graph_shape ops_pipeline=%zu replays=%d\n",
-              G.opCount(), Pairs * ServingRounds);
-  return Pairs * 2 / (BestMs / 1000.0);
+  report("serving", "generated_sync", Requests, BestMs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -422,19 +332,12 @@ int main() {
 
   workerSweep();
 
-  const int Requests = 512;
-  servingLoop(/*Streamed=*/false, Requests);
-  double ServeStreamRate = servingLoop(/*Streamed=*/true, Requests);
-  servingLoopGraph(Requests);
-  double ServeGraphRate = servingLoopPipeline(Requests);
+  servingLoop(/*Requests=*/512);
 
   compileServiceBench();
 
   std::printf("\nTHROUGHPUT speedup pool_vs_spawn=%.2f streams_vs_spawn="
               "%.2f\n",
               PoolRate / SpawnRate, StreamRate / SpawnRate);
-  std::printf("THROUGHPUT graph_summary replay_vs_reenqueue=%.2f "
-              "replays=%d\n",
-              ServeGraphRate / ServeStreamRate, Requests);
   return 0;
 }

@@ -7,7 +7,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -34,9 +33,7 @@ class Emitter {
 public:
   Emitter(const Module &M, const FnDef &Fn, HostTarget T,
           const std::string &FnSuffix)
-      : M(M), Fn(Fn), T(T),
-        Stream(T == HostTarget::SimStream || T == HostTarget::SimGraph),
-        Graph(T == HostTarget::SimGraph), FnSuffix(FnSuffix) {}
+      : M(M), Fn(Fn), T(T), FnSuffix(FnSuffix) {}
 
   HostGenResult run();
 
@@ -44,47 +41,13 @@ private:
   const Module &M;
   const FnDef &Fn;
   HostTarget T;
-  /// Emitting an asynchronous sim::Stream-taking overload: device
-  /// operations enqueue, host-touching statements synchronize first.
-  /// (The graph overload reuses all of this machinery for its
-  /// non-captured tail.)
-  bool Stream;
-  /// Emitting the graph-mode overload: capture the leading device-op run
-  /// on the first call, replay + rebind afterwards.
-  bool Graph;
   const std::string &FnSuffix;
 
   std::ostringstream OS;
   std::string Error;
   unsigned Depth = 1;
 
-  /// Stream mode: operations are enqueued but not yet joined; the next
-  /// statement that touches host memory must synchronize first.
-  bool PendingAsync = false;
-
-  /// Stream mode: how many host-memory-touch points have been emitted so
-  /// far. Loop emission snapshots this to detect bodies that touch host
-  /// memory (see emitForNat's back-edge join).
-  unsigned HostTouches = 0;
-
-  bool isSim() const { return T != HostTarget::Cuda; }
-
-  /// Stream mode: joins the stream before a host-memory-touching
-  /// statement (no-op otherwise). Every join is followed by a
-  /// rt::checkDevice so a sticky device error surfaces as a structured
-  /// rt::Error at the join instead of the driver returning half-done.
-  void syncIfPending() {
-    if (!Stream)
-      return;
-    ++HostTouches;
-    if (!PendingAsync)
-      return;
-    indent();
-    OS << "_stream.synchronize();\n";
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
-    PendingAsync = false;
-  }
+  bool isSim() const { return T == HostTarget::Sim; }
 
   std::vector<std::map<std::string, HostVar>> Scopes;
   /// Device buffers allocated at function scope, in allocation order
@@ -146,44 +109,7 @@ private:
   bool emitCall(const CallExpr &C);
   bool emitLaunch(const CallExpr &C);
   bool emitForNat(const ForNatExpr &F);
-
-  // Graph mode ---------------------------------------------------------
-
-  /// Host-buffer slot of host variable \p Name, assigned in first-use
-  /// order during capture emission (also the bind emission order).
-  unsigned graphSlot(const std::string &Name) {
-    auto It = GraphSlots.find(Name);
-    if (It != GraphSlots.end())
-      return It->second;
-    unsigned Slot = static_cast<unsigned>(GraphSlots.size());
-    GraphSlots[Name] = Slot;
-    SlotBinds.emplace_back(Slot, Name);
-    return Slot;
-  }
-
-  bool captureStmtOk(const Expr &E, std::set<std::string> &Locals);
-  size_t scanCapturePrefix(const BlockExpr &Blk);
-  bool emitCaptureStmt(const Expr &E);
-  bool emitGraphBody(const BlockExpr &Blk, size_t Prefix);
-
-  std::map<std::string, unsigned> GraphSlots;
-  std::vector<std::pair<unsigned, std::string>> SlotBinds;
 };
-
-/// True when \p E (or anything nested in it) names one of \p Names.
-/// Conservative: used to reject graph capture when post-capture host code
-/// reaches into a capture-produced device buffer.
-bool mentionsAny(const Expr &E, const std::set<std::string> &Names) {
-  if (const auto *V = dyn_cast<PlaceVar>(&E))
-    if (Names.count(V->Name))
-      return true;
-  bool Found = false;
-  forEachChild(const_cast<Expr &>(E), [&](Expr &C) {
-    if (!Found && mentionsAny(C, Names))
-      Found = true;
-  });
-  return Found;
-}
 
 /// Root variable name of a borrow / place argument; empty for anything
 /// else (the callers report the error with context).
@@ -204,6 +130,7 @@ std::optional<std::string> Emitter::placeCpp(const PlaceExpr &P) {
   std::reverse(Chain.begin(), Chain.end());
 
   std::string S;
+  bool Indexed = false;
   for (const PlaceExpr *Step : Chain) {
     switch (Step->kind()) {
     case ExprKind::PlaceVar: {
@@ -220,6 +147,13 @@ std::optional<std::string> Emitter::placeCpp(const PlaceExpr &P) {
       // raw pointers, std::vector); the deref is implicit.
       break;
     case ExprKind::PlaceIndex: {
+      // Host buffers are flat in both targets (HostBuffer, raw pointers,
+      // std::vector), so a second subscript would not compile.
+      if (Indexed) {
+        fail("place `" + P.str() + "` indexes more than one dimension");
+        return std::nullopt;
+      }
+      Indexed = true;
       const auto *Idx = cast<PlaceIndex>(Step);
       auto I = exprCpp(*Idx->Index);
       if (!I)
@@ -287,16 +221,11 @@ bool Emitter::emitSignature() {
     if (!First)
       OS << ",\n    ";
     else if (isSim())
-      OS << ",\n    "; // after the device/stream argument
+      OS << ",\n    "; // after the device argument
     First = false;
   };
-  if (Stream) {
-    OS << "descend::sim::Stream &_stream";
-    if (Graph)
-      OS << ",\n    descend::sim::GraphExec &_graph";
-  } else if (isSim()) {
+  if (isSim())
     OS << "descend::sim::GpuDevice &_dev";
-  }
 
   for (const FnParam &P : Fn.Params) {
     HostVar V;
@@ -346,14 +275,6 @@ bool Emitter::emitSignature() {
     bind(P.Name, std::move(V));
   }
   OS << ") {\n";
-  if (Stream) {
-    // Enqueued launches capture the device by reference; the frame stays
-    // alive because stream drivers synchronize before returning.
-    indent();
-    OS << "descend::sim::GpuDevice &_dev = _stream.device();\n";
-    indent();
-    OS << "(void)_dev;\n";
-  }
   return true;
 }
 
@@ -372,7 +293,6 @@ bool Emitter::emitStmt(const Expr &E) {
     return emitCall(*cast<CallExpr>(&E));
   case ExprKind::Assign: {
     const auto *A = cast<AssignExpr>(&E);
-    syncIfPending(); // assignment may read/write host buffers
     auto L = placeCpp(*A->Lhs);
     auto R = exprCpp(*A->Rhs);
     if (!L || !R)
@@ -382,7 +302,6 @@ bool Emitter::emitStmt(const Expr &E) {
     return true;
   }
   case ExprKind::ForNat:
-    syncIfPending(); // the loop body may read host buffers
     return emitForNat(*cast<ForNatExpr>(&E));
   case ExprKind::Block: {
     indent();
@@ -415,23 +334,9 @@ bool Emitter::emitForNat(const ForNatExpr &F) {
   V.K = HostVar::LoopVar;
   V.Elem = ScalarKind::I64;
   bind(F.Var, std::move(V));
-  const unsigned TouchesBefore = HostTouches;
   bool Ok = F.Body->kind() == ExprKind::Block
                 ? emitBlock(*cast<BlockExpr>(F.Body.get()))
                 : emitStmt(*F.Body);
-  // Stream mode back edge: a body that both touches host memory and
-  // leaves operations pending would race with its own next iteration
-  // (the per-statement sync points were emitted against the *first*
-  // iteration's pending state). Join at the end of each iteration. A
-  // body with no host-touch points safely carries its pending
-  // operations across the back edge — the stream keeps them in order.
-  if (Ok && Stream && PendingAsync && HostTouches != TouchesBefore) {
-    indent();
-    OS << "_stream.synchronize();\n";
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
-    PendingAsync = false;
-  }
   popScope();
   --Depth;
   indent();
@@ -471,7 +376,6 @@ bool Emitter::emitLet(const LetExpr &L) {
     return true;
   }
   // Scalar let.
-  syncIfPending(); // the initializer may read host buffers
   auto Init = exprCpp(*L.Init);
   if (!Init)
     return false;
@@ -531,14 +435,8 @@ bool Emitter::emitAllocCall(const CallExpr &C, const std::string &Let) {
   const char *CT = cppScalarType(SrcVar->Elem);
   indent();
   if (isSim()) {
-    if (Stream) {
-      OS << "auto " << Let << " = descend::rt::allocCopyAsync(_stream, "
-         << Src << ");\n";
-      PendingAsync = true;
-    } else {
-      OS << "auto " << Let << " = descend::rt::allocCopy(_dev, " << Src
-         << ");\n";
-    }
+    OS << "auto " << Let << " = descend::rt::allocCopy(_dev, " << Src
+       << ");\n";
   } else {
     auto N = natCpp(SrcVar->Count);
     if (!N)
@@ -579,18 +477,9 @@ bool Emitter::emitCall(const CallExpr &C) {
     if (isSim()) {
       // Pass the host-program variable names through so a size-mismatch
       // rt::Error names the offending buffers, not just the counts.
-      if (Stream) {
-        OS << (ToHost ? "descend::rt::copyToHostAsync(_stream, "
-                      : "descend::rt::copyToGpuAsync(_stream, ")
-           << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-           << "\");\n";
-        PendingAsync = true;
-      } else {
-        OS << (ToHost ? "descend::rt::copyToHost("
-                      : "descend::rt::copyToGpu(")
-           << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-           << "\");\n";
-      }
+      OS << (ToHost ? "descend::rt::copyToHost(" : "descend::rt::copyToGpu(")
+         << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
+         << "\");\n";
       return true;
     }
     const HostVar &HostSide = ToHost ? *DstVar : *SrcVar;
@@ -609,16 +498,16 @@ bool Emitter::emitCall(const CallExpr &C) {
     return true;
   }
 
-  // Plain call of another host function. Stream mode threads the stream
-  // through, joining the caller's pending operations first (the callee
-  // may touch host memory in its first statement without a sync of its
-  // own); a callee with pending operations joins them before returning,
-  // so the caller resumes with a quiet stream either way.
+  // Plain call of another host function.
   if (const FnDef *Callee = M.findFn(C.Callee); Callee && Callee->isCpuFn()) {
-    syncIfPending();
     std::vector<std::string> Args;
-    for (const ExprPtr &A : C.Args) {
-      std::string Name = argVar(*A);
+    for (size_t I = 0; I != C.Args.size(); ++I) {
+      const Expr &A = *C.Args[I];
+      // Scalar parameters take any host expression (`b[2]`, `2.0 * 3.0`);
+      // reference parameters take the buffer their borrow names.
+      const bool ScalarParam = I < Callee->Params.size() &&
+                               isa<ScalarType>(Callee->Params[I].Ty.get());
+      std::string Name = ScalarParam ? "" : argVar(A);
       if (!Name.empty()) {
         const HostVar *V = lookup(Name);
         if (!V)
@@ -630,7 +519,7 @@ bool Emitter::emitCall(const CallExpr &C) {
                            : Name);
         continue;
       }
-      auto S = exprCpp(*A);
+      auto S = exprCpp(A);
       if (!S)
         return false;
       Args.push_back(*S);
@@ -638,11 +527,10 @@ bool Emitter::emitCall(const CallExpr &C) {
     indent();
     OS << hostFnEmitName(*Callee, FnSuffix) << "(";
     if (isSim())
-      OS << (Stream ? "_stream" : "_dev") << (Args.empty() ? "" : ", ");
+      OS << "_dev" << (Args.empty() ? "" : ", ");
     for (size_t I = 0; I != Args.size(); ++I)
       OS << (I ? ", " : "") << Args[I];
     OS << ");\n";
-    PendingAsync = false;
     return true;
   }
   return fail("unsupported host call: " + C.Callee);
@@ -661,19 +549,7 @@ bool Emitter::emitLaunch(const CallExpr &C) {
   if (isSim()) {
     // The generated simulator kernel lives in the same emitted namespace;
     // its signature already encodes the (statically checked) launch
-    // configuration. Stream mode enqueues the same call as a stream
-    // operation (buffer handles captured by value, the device by
-    // reference — the frame outlives the operation because stream
-    // drivers synchronize before returning).
-    if (Stream) {
-      OS << "_stream.enqueue([=, &_dev] { " << C.Callee << FnSuffix
-         << "(_dev";
-      for (const std::string &A : Args)
-        OS << ", " << A;
-      OS << "); });\n";
-      PendingAsync = true;
-      return true;
-    }
+    // configuration.
     OS << C.Callee << FnSuffix << "(_dev";
     for (const std::string &A : Args)
       OS << ", " << A;
@@ -713,173 +589,17 @@ bool Emitter::emitLaunch(const CallExpr &C) {
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Graph mode: capture-prefix analysis and emission
-//===----------------------------------------------------------------------===//
-
-/// Is \p E a top-level statement the graph overload can capture? The
-/// capturable shapes are exactly the device-op run a serving loop repeats
-/// per request:
-///   * `let d = GpuGlobal::alloc_copy(&h)` with `h` a host-buffer
-///     *parameter* (the rebindable per-request data); `d` becomes a
-///     capture-local,
-///   * `copy_mem_to_host` / `copy_to_gpu` between a host-buffer parameter
-///     and a capture-local device buffer,
-///   * launches whose arguments are all capture-locals (a device-buffer
-///     parameter would replay the first call's buffer forever).
-bool Emitter::captureStmtOk(const Expr &E, std::set<std::string> &Locals) {
-  if (const auto *L = dyn_cast<LetExpr>(&E)) {
-    const auto *C = dyn_cast<CallExpr>(L->Init.get());
-    if (!C || C->Callee != "GpuGlobal::alloc_copy" || C->Args.size() != 1)
-      return false;
-    std::string Src = argVar(*C->Args[0]);
-    const HostVar *V = Src.empty() ? nullptr : lookup(Src);
-    if (!V || V->K != HostVar::HostBuf || !V->IsParam)
-      return false;
-    Locals.insert(L->Name);
-    return true;
-  }
-  const auto *C = dyn_cast<CallExpr>(&E);
-  if (!C)
-    return false;
-  if (C->IsLaunch) {
-    if (C->Args.empty())
-      return false;
-    for (const ExprPtr &A : C->Args) {
-      std::string Name = argVar(*A);
-      if (Name.empty() || !Locals.count(Name))
-        return false;
-    }
-    return true;
-  }
-  if (C->Callee == "copy_mem_to_host" || C->Callee == "copy_to_gpu") {
-    if (C->Args.size() != 2)
-      return false;
-    const bool ToHost = C->Callee == "copy_mem_to_host";
-    std::string Dst = argVar(*C->Args[0]);
-    std::string Src = argVar(*C->Args[1]);
-    const std::string &Host = ToHost ? Dst : Src;
-    const std::string &Device = ToHost ? Src : Dst;
-    const HostVar *HV = Host.empty() ? nullptr : lookup(Host);
-    return HV && HV->K == HostVar::HostBuf && HV->IsParam &&
-           Locals.count(Device) != 0;
-  }
-  return false;
-}
-
-/// Length of the maximal capturable leading run of \p Blk's top-level
-/// statements, or 0 when the program can't use capture at all (including
-/// when a post-prefix statement reaches into a capture-local: those live
-/// inside the first-call capture block and replay frozen, so any later
-/// mention would change meaning — fall back entirely).
-size_t Emitter::scanCapturePrefix(const BlockExpr &Blk) {
-  std::set<std::string> Locals;
-  size_t Prefix = 0;
-  while (Prefix != Blk.Stmts.size() &&
-         captureStmtOk(*Blk.Stmts[Prefix], Locals))
-    ++Prefix;
-  if (Prefix == 0)
-    return 0;
-  for (size_t I = Prefix; I != Blk.Stmts.size(); ++I)
-    if (mentionsAny(*Blk.Stmts[I], Locals))
-      return 0;
-  return Prefix;
-}
-
-/// Emits one capturable prefix statement in capture form: transfers go
-/// through the rt::*Capture helpers (slot-based, rebindable at replay);
-/// launches emit exactly the stream-mode enqueue — enqueue-during-capture
-/// records the closure as a graph node.
-bool Emitter::emitCaptureStmt(const Expr &E) {
-  if (const auto *L = dyn_cast<LetExpr>(&E)) {
-    const auto *C = cast<CallExpr>(L->Init.get());
-    std::string Src = argVar(*C->Args[0]);
-    const HostVar *SrcVar = lookup(Src);
-    indent();
-    OS << "auto " << L->Name << " = descend::rt::allocCopyCapture<"
-       << cppScalarType(SrcVar->Elem) << ">(_stream, " << graphSlot(Src)
-       << ", " << Src << ".size(), \"" << Src << "\");\n";
-    HostVar V;
-    V.K = HostVar::DevBuf;
-    V.Elem = SrcVar->Elem;
-    V.Count = SrcVar->Count;
-    bind(L->Name, std::move(V));
-    return true;
-  }
-  const auto *C = cast<CallExpr>(&E);
-  if (C->IsLaunch)
-    return emitLaunch(*C);
-  const bool ToHost = C->Callee == "copy_mem_to_host";
-  std::string Dst = argVar(*C->Args[0]);
-  std::string Src = argVar(*C->Args[1]);
-  indent();
-  if (ToHost)
-    OS << "descend::rt::copyToHostCapture(_stream, " << graphSlot(Dst)
-       << ", " << Src << ", \"" << Dst << "\");\n";
-  else
-    OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(Src)
-       << ", " << Dst << ", \"" << Src << "\");\n";
-  return true;
-}
-
-/// The graph overload's body: capture the prefix once (first call),
-/// rebind the host-buffer slots to this call's parameters, replay the
-/// whole prefix as one stream operation, then emit the non-captured tail
-/// in plain stream form.
-bool Emitter::emitGraphBody(const BlockExpr &Blk, size_t Prefix) {
-  indent();
-  OS << "if (!_graph.instantiated()) {\n";
-  ++Depth;
-  indent();
-  OS << "_stream.beginCapture();\n";
-  for (size_t I = 0; I != Prefix; ++I)
-    if (!emitCaptureStmt(*Blk.Stmts[I]))
-      return false;
-  indent();
-  OS << "_graph = _stream.endCapture().instantiate();\n";
-  --Depth;
-  indent();
-  OS << "}\n";
-  PendingAsync = false; // capture records; nothing actually enqueued
-  for (const auto &SB : SlotBinds) {
-    indent();
-    OS << "_graph.bind(" << SB.first << ", " << SB.second << ", \""
-       << SB.second << "\");\n";
-  }
-  indent();
-  OS << "_graph.launch(_stream);\n";
-  PendingAsync = true; // the replay is one pending stream operation
-  for (size_t I = Prefix; I != Blk.Stmts.size(); ++I)
-    if (!emitStmt(*Blk.Stmts[I]))
-      return false;
-  return true;
-}
-
 HostGenResult Emitter::run() {
   HostGenResult R;
   pushScope();
   bool Ok = emitSignature();
-  if (Ok && Fn.Body) {
-    const auto &Blk = *cast<BlockExpr>(Fn.Body.get());
-    const size_t Prefix = Graph ? scanCapturePrefix(Blk) : 0;
-    if (Graph && Prefix == 0) {
-      // Shape doesn't fit capture: the graph overload degrades to the
-      // plain stream body (emission is total, never a compile failure).
-      indent();
-      OS << "(void)_graph;\n";
-    }
-    Ok = Prefix > 0 ? emitGraphBody(Blk, Prefix) : emitBlock(Blk);
-  }
+  if (Ok && Fn.Body)
+    Ok = emitBlock(*cast<BlockExpr>(Fn.Body.get()));
   if (Ok && T == HostTarget::Cuda)
     for (const std::string &Buf : DeviceBufs) {
       indent();
       OS << "cudaFree(" << Buf << ");\n";
     }
-  // Stream drivers join before returning: enqueued operations may borrow
-  // this frame's locals, and the caller observes the same state as after
-  // the synchronous driver.
-  if (Ok)
-    syncIfPending();
   OS << "}\n";
   popScope();
   if (!Ok) {

@@ -5,30 +5,16 @@
 // heap and device memory, transfer data between cpu.mem and gpu.global and
 // launch kernels with an explicit execution configuration. Where the type
 // checker proves the transfers and launches correct, this layer turns the
-// proven program into a runnable driver:
+// proven program into a runnable driver — exactly one synchronous C++
+// function per host function, for one of two targets:
 //
-//   sim        C++ against runtime/HostRuntime.h + sim/Sim.h —
-//              rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
-//              transfers, and direct calls of the generated simulator
-//              kernels in the same header.
-//   simStream  the asynchronous overload of the same driver, taking a
-//              sim::Stream instead of a device: transfers enqueue through
-//              rt::*Async, launches enqueue as stream operations, and a
-//              stream synchronize is inserted before any statement that
-//              touches host memory (and before returning), so results are
-//              bit-identical to the synchronous driver while consecutive
-//              device operations pipeline with a single join.
-//   simGraph   the graph-mode overload (sim::Stream + sim::GraphExec):
-//              the driver's leading run of device operations — transfers
-//              touching only host-buffer *parameters* plus launches over
-//              the buffers those transfers produced — is captured into a
-//              launch graph on the first call and *replayed* as one
-//              stream operation on every call, with the parameter buffers
-//              rebound per call (GraphExec::bind); any trailing host
-//              statements emit in stream form. Programs whose shape
-//              doesn't fit (no capturable prefix, or later statements
-//              reaching into capture-produced buffers) fall back to the
-//              plain stream body — emission is total.
+//   sim        C++ against runtime/HostRuntime.h + sim/Sim.h, taking the
+//              sim::GpuDevice as its first parameter — rt::HostBuffer
+//              allocations, rt::allocCopy / rt::copyToHost / rt::copyToGpu
+//              transfers naming the host variables involved, and direct
+//              calls of the generated simulator kernels in the same
+//              header, each followed by an rt::checkDevice that turns a
+//              sticky device error into a structured rt::Error.
 //   cuda       CUDA runtime API host code — std::vector staging,
 //              cudaMalloc / cudaMemcpy with statically computed byte
 //              counts, real kernel<<<grid, block>>> launches and cudaFree
@@ -41,9 +27,11 @@
 //
 // The emitters are deliberately structural: they only accept the host
 // fragment of the language (lets, builtin allocation/transfer calls,
-// launches, for-nat loops, scalar arithmetic and host-array assignment)
-// and fail with a descriptive error otherwise — device-only constructs
-// never reach them in type-checked modules.
+// launches, for-nat loops, scalar arithmetic and one-dimensional
+// host-array indexing) and fail with a descriptive error otherwise —
+// device-only constructs never reach them in type-checked modules. The
+// vm backend (vm/Bytecode.cpp) compiles the same fragment with the same
+// acceptance rules and error texts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +45,8 @@
 namespace descend {
 namespace hostgen {
 
-/// Which host substrate to emit for. SimStream emits the asynchronous
-/// sim::Stream overload of the sim driver; SimGraph the capture/replay
-/// overload (the sim backend emits all three).
-enum class HostTarget { Sim, SimStream, SimGraph, Cuda };
+/// Which host substrate to emit for.
+enum class HostTarget { Sim, Cuda };
 
 /// Result of emitting one host function.
 struct HostGenResult {

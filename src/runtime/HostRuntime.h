@@ -3,10 +3,8 @@
 // Part of the Descend reproduction. The host API of Section 3.4/3.5 as a
 // C++ library over the simulator: heap allocation, CPU<->GPU transfer with
 // direction checking and kernel-launch configuration checking — each in a
-// synchronous form, an asynchronous form over sim::Stream (the
-// cudaMemcpyAsync analogue the generated stream drivers call), and a
-// graph-capture form recording rebindable transfer nodes (what the
-// generated graph-mode drivers call).
+// synchronous form (what the generated drivers call) and an asynchronous
+// form over sim::Stream (the cudaMemcpyAsync analogue).
 //
 // In Descend these mistakes are compile-time errors; this runtime is the
 // substrate equivalent for *handwritten* host code (and for demonstrating,
@@ -170,65 +168,6 @@ void copyToGpuAsync(sim::Stream &S, sim::GpuDevice::Buffer<T> &Dst,
   S.enqueue([D, So, Bytes] {
     obs::Span CopySpan("stream", "copyToGpu");
     std::memcpy(D, So, Bytes);
-  });
-}
-
-//===----------------------------------------------------------------------===//
-// Graph-capture variants — what the generated graph-mode drivers call
-// between Stream::beginCapture()/endCapture(). Device allocation still
-// happens eagerly, ONCE, at capture time (the buffer is reused by every
-// replay); the transfer records a graph node that reads its *host*
-// pointer from the GraphExec's slot table at replay time, so one
-// captured graph serves many requests' buffers via GraphExec::bind.
-// Sizes are pinned at capture: bind() rejects buffers of a different
-// byte size, preserving the eager-validation contract.
-//===----------------------------------------------------------------------===//
-
-/// GpuGlobal::alloc_copy under capture: allocates the device buffer now,
-/// declares host slot \p Slot (named \p Name for diagnostics) and
-/// records the populating H2D copy.
-template <typename T>
-sim::GpuDevice::Buffer<T> allocCopyCapture(sim::Stream &S, unsigned Slot,
-                                           size_t Count,
-                                           const char *Name = nullptr) {
-  auto Buf = S.device().alloc<T>(Count);
-  const size_t Bytes = Count * sizeof(T);
-  S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
-  T *Dst = Buf.data();
-  S.captureNode([Dst, Slot, Bytes](const sim::GraphExec &G) {
-    obs::Span CopySpan("stream", "allocCopyReplay");
-    std::memcpy(Dst, G.slotPtr(Slot), Bytes);
-  });
-  return Buf;
-}
-
-/// copy_mem_to_host under capture: records a D2H copy into whatever host
-/// memory is bound to \p Slot at replay time.
-template <typename T>
-void copyToHostCapture(sim::Stream &S, unsigned Slot,
-                       const sim::GpuDevice::Buffer<T> &Src,
-                       const char *Name = nullptr) {
-  const size_t Bytes = Src.size() * sizeof(T);
-  S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
-  const T *So = Src.data();
-  S.captureNode([So, Slot, Bytes](const sim::GraphExec &G) {
-    obs::Span CopySpan("stream", "copyToHostReplay");
-    std::memcpy(G.slotPtr(Slot), So, Bytes);
-  });
-}
-
-/// copy_to_gpu under capture: records an H2D copy from whatever host
-/// memory is bound to \p Slot at replay time.
-template <typename T>
-void copyToGpuCapture(sim::Stream &S, unsigned Slot,
-                      sim::GpuDevice::Buffer<T> &Dst,
-                      const char *Name = nullptr) {
-  const size_t Bytes = Dst.size() * sizeof(T);
-  S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
-  T *D = Dst.data();
-  S.captureNode([D, Slot, Bytes](const sim::GraphExec &G) {
-    obs::Span CopySpan("stream", "copyToGpuReplay");
-    std::memcpy(D, G.slotPtr(Slot), Bytes);
   });
 }
 

@@ -829,18 +829,6 @@ void detail::signalEventGen(const std::shared_ptr<EventState> &St,
     Fn();
 }
 
-/// Record-and-signal in one step: what a captured record node does at
-/// replay time (the generation is minted when the node runs, so every
-/// replay re-arms the event afresh).
-void detail::signalEventNow(const std::shared_ptr<EventState> &St) {
-  uint64_t Gen;
-  {
-    std::lock_guard<std::mutex> G(St->M);
-    Gen = ++St->Recorded;
-  }
-  signalEventGen(St, Gen);
-}
-
 bool Event::query() const {
   std::lock_guard<std::mutex> G(St->M);
   return St->Completed >= St->Recorded;
@@ -850,71 +838,6 @@ void Event::synchronize() const {
   std::unique_lock<std::mutex> L(St->M);
   const uint64_t Target = St->Recorded;
   St->CV.wait(L, [&] { return St->Completed >= Target; });
-}
-
-//===----------------------------------------------------------------------===//
-// Launch graphs
-//===----------------------------------------------------------------------===//
-
-GraphExec Graph::instantiate() const {
-  if (!D)
-    throw std::logic_error("Graph::instantiate: empty graph handle");
-  GraphExec E;
-  E.D = D;
-  return E;
-}
-
-const char *GraphExec::slotNameOr(unsigned Slot, const char *Fallback) const {
-  auto It = D->SlotNames.find(Slot);
-  return It != D->SlotNames.end() && !It->second.empty() ? It->second.c_str()
-                                                         : Fallback;
-}
-
-void GraphExec::bind(unsigned Slot, void *Ptr, size_t Bytes,
-                     const char *Name) {
-  if (!D)
-    throw std::logic_error("GraphExec::bind: graph not instantiated");
-  const char *Bind = Name ? Name : "?";
-  auto It = D->SlotBytes.find(Slot);
-  if (It == D->SlotBytes.end())
-    throw std::invalid_argument(descend::strfmt(
-        "graph slot %u: not declared by the capture (binding `%s`)", Slot,
-        Bind));
-  if (It->second != Bytes)
-    throw std::invalid_argument(descend::strfmt(
-        "graph slot %u (`%s`): bound %zu bytes from `%s`, captured %zu",
-        Slot, slotNameOr(Slot, "?"), Bytes, Bind, It->second));
-  Bound[Slot] = Ptr;
-}
-
-void *GraphExec::slotPtr(unsigned Slot) const {
-  auto It = Bound.find(Slot);
-  assert(It != Bound.end() && "graph slot unbound (launch() validates)");
-  return It->second;
-}
-
-void GraphExec::launch(Stream &S) const {
-  if (!D)
-    throw std::logic_error("GraphExec::launch: graph not instantiated");
-  for (const auto &SB : D->SlotBytes)
-    if (!Bound.count(SB.first))
-      throw std::logic_error(descend::strfmt(
-          "GraphExec::launch: slot %u (`%s`) is unbound — bind() every "
-          "declared slot before launching",
-          SB.first, slotNameOr(SB.first, "?")));
-  // The whole captured sequence replays as ONE stream operation: a
-  // serving loop pays a single enqueue per request instead of one per
-  // transfer/launch. `this` must outlive the replay (generated drivers
-  // synchronize before returning).
-  const GraphExec *Self = this;
-  S.enqueue([Self] {
-    std::string SpanArgs;
-    if (obs::TraceCollector::global().enabled()) [[unlikely]]
-      SpanArgs = descend::strfmt("{\"ops\":%zu}", Self->D->Nodes.size());
-    obs::Span ReplaySpan("stream", "graphReplay", std::move(SpanArgs));
-    for (const std::function<void(const GraphExec &)> &Node : Self->D->Nodes)
-      Node(*Self);
-  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -967,13 +890,6 @@ void Stream::runOpObservingErrors(const std::function<void()> &Op) {
 
 void Stream::enqueue(std::function<void()> Op) {
   failFastIfPoisoned("enqueue");
-  // Capture records instead of executing — also on sequential devices,
-  // so a captured graph is identical no matter the worker count.
-  if (InCapture) {
-    CapNodes.push_back(
-        [Fn = std::move(Op)](const GraphExec &) { Fn(); });
-    return;
-  }
   // Sequential devices (including race detection, which forces one
   // worker) execute immediately: deterministic, in order, on the calling
   // thread — the behaviour the race-detector fixtures pin down.
@@ -1065,13 +981,6 @@ void Stream::launch(Dim3 Grid, Dim3 Block, size_t SharedBytes,
 void Stream::record(Event &E) {
   failFastIfPoisoned("record");
   std::shared_ptr<detail::EventState> St = E.St;
-  if (InCapture) {
-    // The generation is minted when the node *runs*: each replay re-arms
-    // the event afresh. Recording at capture time would leave the event
-    // permanently "pending" between capture and first replay.
-    captureNode([St](const GraphExec &) { detail::signalEventNow(St); });
-    return;
-  }
   uint64_t Gen;
   {
     std::lock_guard<std::mutex> G(St->M);
@@ -1104,17 +1013,6 @@ void Stream::record(Event &E) {
 void Stream::wait(Event &E) {
   failFastIfPoisoned("wait");
   std::shared_ptr<detail::EventState> St = E.St;
-  if (InCapture) {
-    // Replay-time blocking wait: the replaying pump worker waits on the
-    // event CV. (Captured graphs replay as one node sequence; a parked
-    // resumption point inside the sequence has nothing to resume into.)
-    captureNode([St](const GraphExec &) {
-      std::unique_lock<std::mutex> L(St->M);
-      const uint64_t Target = St->Recorded;
-      St->CV.wait(L, [&] { return St->Completed >= Target; });
-    });
-    return;
-  }
   uint64_t Target;
   {
     std::lock_guard<std::mutex> G(St->M);
@@ -1152,8 +1050,8 @@ bool Stream::query() {
 
 void Stream::synchronize() {
   // Stream operations are typically a few microseconds; spin briefly on
-  // the atomic Running flag before sleeping so short tails — a graph
-  // replay, a single launch — skip the futex sleep/wake round trip.
+  // the atomic Running flag before sleeping so short tails — a single
+  // launch or copy — skip the futex sleep/wake round trip.
   // Completion is confirmed under M, which the pump held when it cleared
   // the flag, so the op's side effects happen-before we return.
   for (int Spin = 0; Spin != 16384; ++Spin) {
@@ -1170,50 +1068,4 @@ void Stream::synchronize() {
   }
   std::unique_lock<std::mutex> L(M);
   CV.wait(L, [&] { return Ops.empty() && !Running; });
-}
-
-void Stream::beginCapture() {
-  if (InCapture)
-    throw std::logic_error("Stream::beginCapture: already capturing");
-  InCapture = true;
-  CapNodes.clear();
-  CapSlots.clear();
-  CapSlotNames.clear();
-}
-
-Graph Stream::endCapture() {
-  if (!InCapture)
-    throw std::logic_error("Stream::endCapture: no capture in progress");
-  InCapture = false;
-  auto D = std::make_shared<Graph::Data>();
-  D->Nodes = std::move(CapNodes);
-  D->SlotBytes = std::move(CapSlots);
-  D->SlotNames = std::move(CapSlotNames);
-  CapNodes.clear();
-  CapSlots.clear();
-  CapSlotNames.clear();
-  return Graph(std::move(D));
-}
-
-void Stream::captureNode(std::function<void(const GraphExec &)> Fn) {
-  if (!InCapture)
-    throw std::logic_error("Stream::captureNode: not capturing");
-  CapNodes.push_back(std::move(Fn));
-}
-
-void Stream::declareCaptureSlot(unsigned Slot, size_t Bytes,
-                                const std::string &Name) {
-  if (!InCapture)
-    throw std::logic_error("Stream::declareCaptureSlot: not capturing");
-  if (!Name.empty())
-    CapSlotNames.emplace(Slot, Name); // first declaration names the slot
-  auto It = CapSlots.find(Slot);
-  if (It == CapSlots.end()) {
-    CapSlots[Slot] = Bytes;
-    return;
-  }
-  if (It->second != Bytes)
-    throw std::invalid_argument(descend::strfmt(
-        "graph slot %u: declared %zu bytes, previously %zu", Slot, Bytes,
-        It->second));
 }

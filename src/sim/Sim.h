@@ -33,12 +33,6 @@
 //    Stream::wait orders a stream after that snapshot without draining
 //    the device. A waiting stream *parks* (its pump re-arms from the
 //    event's completion callback) instead of blocking a pool worker.
-//  * Launch graphs (Graph / GraphExec, the cudaGraph analogue): a
-//    stream's transfer/launch/event sequence recorded once between
-//    beginCapture()/endCapture(), instantiated, rebound to fresh host
-//    buffers per request (GraphExec::bind) and replayed as ONE stream
-//    operation — the per-op enqueue cost of a serving loop collapses to
-//    a single enqueue per request.
 //
 // Observability (both off by default; the hot path pays one predicted
 // branch):
@@ -74,7 +68,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -157,9 +150,6 @@ struct EventState {
 /// Marks \p Gen complete on \p St and fires every due waiter (outside
 /// the event lock).
 void signalEventGen(const std::shared_ptr<EventState> &St, uint64_t Gen);
-/// Records-and-completes a fresh generation in one step (graph replay:
-/// a captured record re-records at replay time).
-void signalEventNow(const std::shared_ptr<EventState> &St);
 
 /// Per-launch cancellation state for the wall-clock watchdog. Blocks
 /// poll cancelled() at phase boundaries — the only points where stopping
@@ -684,7 +674,6 @@ void launchProgram(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
                    const PhaseProgram &Prog);
 
 class Stream;
-class GraphExec;
 
 /// The cudaEvent_t analogue: a reusable marker streams record and wait
 /// on. Copying an Event copies the handle, not the state — all copies
@@ -707,88 +696,6 @@ private:
   std::shared_ptr<detail::EventState> St;
 };
 
-/// An immutable captured operation sequence (the cudaGraph analogue):
-/// the transfers, launches and event edges a stream recorded between
-/// beginCapture() and endCapture(), plus the host-buffer slots the
-/// capture declared (slot -> byte size). instantiate() yields the
-/// executable form.
-class Graph {
-public:
-  Graph() = default;
-
-  /// Number of captured operations (0 for an empty/default graph).
-  size_t opCount() const { return D ? D->Nodes.size() : 0; }
-  /// Number of declared host-buffer slots.
-  size_t slotCount() const { return D ? D->SlotBytes.size() : 0; }
-
-  /// The executable form: shares this graph's immutable nodes and adds a
-  /// mutable slot-pointer table (bind). Throws on an empty graph handle.
-  GraphExec instantiate() const;
-
-private:
-  friend class Stream;
-  friend class GraphExec;
-  struct Data {
-    std::vector<std::function<void(const GraphExec &)>> Nodes;
-    std::map<unsigned, size_t> SlotBytes;
-    /// Host-variable names the capture declared per slot (may be empty
-    /// for handwritten captures); bind/launch diagnostics use them.
-    std::map<unsigned, std::string> SlotNames;
-  };
-  explicit Graph(std::shared_ptr<const Data> D) : D(std::move(D)) {}
-  std::shared_ptr<const Data> D;
-};
-
-/// An instantiated launch graph: immutable captured nodes plus the
-/// per-instance host-buffer bindings. bind() rebinds a slot to fresh
-/// host memory (size-checked against the capture), launch() replays the
-/// whole sequence as ONE stream operation. The GraphExec must stay alive
-/// until the replaying stream synchronizes (generated graph drivers
-/// join before returning).
-class GraphExec {
-public:
-  GraphExec() = default;
-
-  /// False for a default-constructed handle (the generated drivers'
-  /// capture-on-first-call check).
-  bool instantiated() const { return static_cast<bool>(D); }
-  size_t opCount() const { return D ? D->Nodes.size() : 0; }
-
-  /// Binds \p Bytes of host memory at \p Ptr to \p Slot. Throws on an
-  /// unknown slot or a size differing from the captured declaration —
-  /// the same eager validation the rt:: copies perform. \p Name (when
-  /// non-null) is the host variable being bound; diagnostics name it
-  /// alongside the slot's captured name.
-  void bind(unsigned Slot, void *Ptr, size_t Bytes,
-            const char *Name = nullptr);
-
-  /// Convenience overload for anything with data()/size() (e.g.
-  /// rt::HostBuffer): binds the buffer's storage.
-  template <typename BufT>
-  void bind(unsigned Slot, BufT &Buffer, const char *Name = nullptr) {
-    bind(Slot, const_cast<void *>(static_cast<const void *>(Buffer.data())),
-         Buffer.size() * sizeof(*Buffer.data()), Name);
-  }
-
-  /// The memory currently bound to \p Slot (replay-time use by captured
-  /// transfer nodes; launch() guarantees every slot is bound).
-  void *slotPtr(unsigned Slot) const;
-
-  /// Replays the captured sequence on \p S as a single enqueued
-  /// operation. Throws when any declared slot is unbound.
-  void launch(Stream &S) const;
-
-private:
-  friend class Graph;
-
-  /// The captured host-variable name of \p Slot, or \p Fallback when the
-  /// capture recorded none (handwritten captures).
-  const char *slotNameOr(unsigned Slot, const char *Fallback) const;
-
-  std::shared_ptr<const Graph::Data> D;
-  std::map<unsigned, void *> Bound;
-};
-
 /// A CUDA-style stream: kernel launches and host<->device copies enqueue
 /// asynchronously and execute *in order within the stream* on the
 /// device's worker pool; independent streams overlap. synchronize()
@@ -800,12 +707,6 @@ private:
 /// enabled, which forces one worker — enqueued work runs immediately on
 /// the calling thread: execution stays sequential and deterministic, and
 /// findRaces() sees exactly the log a synchronous launch produces.
-///
-/// Capture (beginCapture/endCapture) is a host-thread activity: begin,
-/// the captured operations and end must all come from the thread driving
-/// the stream, and while capturing, enqueue/record/wait *record* instead
-/// of executing — also on single-worker devices, so a captured graph is
-/// identical no matter the worker count.
 class Stream {
 public:
   explicit Stream(GpuDevice &Dev) : Dev(&Dev) {}
@@ -818,8 +719,7 @@ public:
   /// Enqueues an arbitrary host-side operation (a copy, a launch wrapped
   /// in a closure, ...). The operation must not throw; anything it
   /// captures must stay alive until the stream is synchronized. Runs
-  /// immediately when the device executes sequentially; records a graph
-  /// node while capturing.
+  /// immediately when the device executes sequentially.
   void enqueue(std::function<void()> Op);
 
   /// Enqueues a phase-program launch (the stream-side launchProgram).
@@ -860,31 +760,6 @@ public:
   /// one of this stream's operations is in flight.
   void poison(ErrorCode Code, const std::string &Msg);
 
-  // Graph capture ----------------------------------------------------
-
-  /// Enters capture mode: subsequent enqueue/record/wait calls record
-  /// graph nodes instead of executing. Throws if already capturing.
-  void beginCapture();
-
-  /// Ends capture mode and returns the immutable captured graph.
-  /// Throws without a matching beginCapture().
-  Graph endCapture();
-
-  /// True between beginCapture() and endCapture().
-  bool capturing() const { return InCapture; }
-
-  /// Records a replay-aware node (rt:: capture helpers: transfer nodes
-  /// that read their host pointer from the GraphExec's slot table at
-  /// replay time). Throws outside capture mode.
-  void captureNode(std::function<void(const GraphExec &)> Fn);
-
-  /// Declares host-buffer slot \p Slot with \p Bytes bytes. Re-declaring
-  /// with the same size is idempotent; a size mismatch throws. \p Name
-  /// (when non-empty) records the host variable the slot stands for, so
-  /// bind/launch diagnostics can name it.
-  void declareCaptureSlot(unsigned Slot, size_t Bytes,
-                          const std::string &Name = std::string());
-
 private:
   void pump(); // drains Ops in order; runs on a pool worker
 
@@ -919,12 +794,6 @@ private:
   /// back to the condition variable (completion is still confirmed
   /// under M, which provides the happens-before for the op's effects).
   std::atomic<bool> Running{false};
-
-  // Capture state; touched only by the host thread driving the stream.
-  bool InCapture = false;
-  std::vector<std::function<void(const GraphExec &)>> CapNodes;
-  std::map<unsigned, size_t> CapSlots;
-  std::map<unsigned, std::string> CapSlotNames;
 };
 
 /// Launches a straight-line phase-structured kernel: each Phase must be

@@ -1340,13 +1340,33 @@ bool HostCompiler::compileCall(const CallExpr &C, std::vector<HostStmt> &Out) {
     HostStmt S;
     S.K = HostStmt::Call;
     S.CalleeIdx = It->second;
-    for (const ExprPtr &A : C.Args) {
-      std::string Name = argVar(*A);
-      const HVar *V = Name.empty() ? nullptr : lookup(Name);
-      if (!V)
-        return fail("host call arguments must be variable references in the "
-                    "vm backend");
-      S.ArgSlots.push_back(V->Slot);
+    for (size_t I = 0; I != C.Args.size(); ++I) {
+      const Expr &A = *C.Args[I];
+      // Same rule as hostgen: reference parameters take the buffer their
+      // borrow names; scalar parameters take any host expression, passed
+      // by value in a fresh slot of the parameter's type (the copy and
+      // conversion the generated C++ call performs).
+      const auto *PTy = I < Callee->Params.size()
+                            ? dyn_cast<ScalarType>(Callee->Params[I].Ty.get())
+                            : nullptr;
+      if (!PTy) {
+        std::string Name = argVar(A);
+        const HVar *V = Name.empty() ? nullptr : lookup(Name);
+        if (!V)
+          return fail("host call argument `" + exprToString(A) +
+                      "` must be a buffer reference");
+        S.ArgSlots.push_back(V->Slot);
+        continue;
+      }
+      HostStmt Let;
+      Let.K = HostStmt::LetScalar;
+      Let.Elem = PTy->Scalar;
+      Let.Fill = compileExpr(A);
+      if (!Let.Fill)
+        return false;
+      Let.Dst = newSlot();
+      S.ArgSlots.push_back(Let.Dst);
+      Out.push_back(std::move(Let));
     }
     Out.push_back(std::move(S));
     return true;

@@ -1,18 +1,16 @@
-//===- tests/event_test.cpp - Event and launch-graph tests ------------------===//
+//===- tests/event_test.cpp - Event and environment-parsing tests ----------===//
 //
-// Exercises the cross-stream dependency primitives and the capture/replay
-// subsystem: Stream::record / Stream::wait fan-out-and-rejoin (including
-// the parked-pump resumption under real parallelism — part of the
-// ThreadSanitizer CI stress set), the CUDA-matching event edge cases
-// (wait-before-record, re-record re-arming, reuse across streams,
-// destruction with pending waiters), graph capture -> instantiate ->
-// bind -> replay with slot validation, and the hardened DESCEND_WORKERS
-// and DESCEND_TRACE parses (the same strictness discipline).
+// Exercises the cross-stream dependency primitives: Stream::record /
+// Stream::wait fan-out-and-rejoin (including the parked-pump resumption
+// under real parallelism — part of the ThreadSanitizer CI stress set), the
+// CUDA-matching event edge cases (wait-before-record, re-record re-arming,
+// reuse across streams, destruction with pending waiters), and the
+// hardened DESCEND_WORKERS and DESCEND_TRACE parses (the same strictness
+// discipline).
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/Trace.h"
-#include "runtime/HostRuntime.h"
 #include "sim/Sim.h"
 
 #include <gtest/gtest.h>
@@ -218,184 +216,6 @@ TEST(Event, CrossDeviceWaitFromSequentialConsumer) {
   C.synchronize();
   EXPECT_EQ(Seen, 2.5);
   P.synchronize();
-}
-
-//===----------------------------------------------------------------------===//
-// Launch graphs
-//===----------------------------------------------------------------------===//
-
-TEST(Graph, CaptureReplayMatchesDirectExecution) {
-  GpuDevice Dev;
-  Dev.setWorkers(4);
-  const size_t N = 4 * 32;
-  descend::rt::HostBuffer<double> Host(N, 0.0);
-  Stream S(Dev);
-  S.beginCapture();
-  EXPECT_TRUE(S.capturing());
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, N);
-  S.enqueue([&Dev, D] {
-    launchPhases(Dev, Dim3{4}, Dim3{32}, 0, [D](BlockCtx &B, ThreadCtx &T) {
-      size_t I = B.X * 32 + T.X;
-      D.store(B, I, D.load(B, I) * 2.0 + 1.0);
-    });
-  });
-  descend::rt::copyToHostCapture(S, 0, D);
-  Graph G = S.endCapture();
-  EXPECT_FALSE(S.capturing());
-  EXPECT_EQ(G.opCount(), 3u);
-  EXPECT_EQ(G.slotCount(), 1u);
-
-  GraphExec Exec = G.instantiate();
-  ASSERT_TRUE(Exec.instantiated());
-  for (int Round = 0; Round != 4; ++Round) {
-    for (size_t I = 0; I != N; ++I)
-      Host[I] = static_cast<double>(I + Round);
-    Exec.bind(0, Host);
-    Exec.launch(S);
-    S.synchronize();
-    for (size_t I = 0; I != N; ++I)
-      ASSERT_EQ(Host[I], static_cast<double>(I + Round) * 2.0 + 1.0)
-          << "round " << Round << " index " << I;
-  }
-}
-
-TEST(Graph, RebindServesDifferentBuffersPerReplay) {
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  const size_t N = 64;
-  Stream S(Dev);
-  S.beginCapture();
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, N);
-  S.enqueue([&Dev, D] {
-    launchPhases(Dev, Dim3{2}, Dim3{32}, 0, [D](BlockCtx &B, ThreadCtx &T) {
-      size_t I = B.X * 32 + T.X;
-      D.store(B, I, D.load(B, I) + 10.0);
-    });
-  });
-  descend::rt::copyToHostCapture(S, 0, D);
-  GraphExec Exec = S.endCapture().instantiate();
-
-  descend::rt::HostBuffer<double> A(N, 1.0), B(N, 2.0);
-  Exec.bind(0, A);
-  Exec.launch(S);
-  S.synchronize();
-  Exec.bind(0, B);
-  Exec.launch(S);
-  S.synchronize();
-  for (size_t I = 0; I != N; ++I) {
-    EXPECT_EQ(A[I], 11.0);
-    EXPECT_EQ(B[I], 12.0);
-  }
-}
-
-TEST(Graph, BindValidatesSlotAndSize) {
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  Stream S(Dev);
-  S.beginCapture();
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, 64);
-  (void)D;
-  GraphExec Exec = S.endCapture().instantiate();
-  descend::rt::HostBuffer<double> Right(64, 0.0), Wrong(32, 0.0);
-  // The structured texts name the slot, the sizes, and the binding so a
-  // failed launch is diagnosable without a debugger — pin them.
-  try {
-    Exec.bind(1, Right, "Right"); // unknown slot
-    FAIL() << "expected invalid_argument for an undeclared slot";
-  } catch (const std::invalid_argument &E) {
-    EXPECT_NE(std::string(E.what())
-                  .find("graph slot 1: not declared by the capture "
-                        "(binding `Right`)"),
-              std::string::npos)
-        << E.what();
-  }
-  try {
-    Exec.bind(0, Wrong, "Wrong"); // wrong size: 256 bytes vs 512 captured
-    FAIL() << "expected invalid_argument for a size mismatch";
-  } catch (const std::invalid_argument &E) {
-    std::string What = E.what();
-    EXPECT_NE(What.find("graph slot 0"), std::string::npos) << What;
-    EXPECT_NE(What.find("bound 256 bytes from `Wrong`, captured 512"),
-              std::string::npos)
-        << What;
-  }
-  try {
-    Exec.launch(S); // slot unbound
-    FAIL() << "expected logic_error for an unbound slot";
-  } catch (const std::logic_error &E) {
-    std::string What = E.what();
-    EXPECT_NE(What.find("GraphExec::launch: slot 0"), std::string::npos)
-        << What;
-    EXPECT_NE(What.find("is unbound"), std::string::npos) << What;
-    EXPECT_NE(What.find("bind() every declared slot"), std::string::npos)
-        << What;
-  }
-  Exec.bind(0, Right);
-  Exec.launch(S);
-  S.synchronize();
-}
-
-TEST(Graph, CaptureApiMisuseThrows) {
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  Stream S(Dev);
-  EXPECT_THROW(S.endCapture(), std::logic_error); // no beginCapture
-  EXPECT_THROW(S.captureNode([](const GraphExec &) {}), std::logic_error);
-  EXPECT_THROW(S.declareCaptureSlot(0, 8), std::logic_error);
-  S.beginCapture();
-  EXPECT_THROW(S.beginCapture(), std::logic_error); // nested capture
-  S.declareCaptureSlot(0, 16);
-  S.declareCaptureSlot(0, 16); // re-declaring the same size is fine
-  EXPECT_THROW(S.declareCaptureSlot(0, 8), std::invalid_argument);
-  Graph G = S.endCapture();
-  EXPECT_EQ(G.opCount(), 0u);
-  EXPECT_THROW(Graph().instantiate(), std::logic_error); // empty handle
-  EXPECT_THROW(GraphExec().launch(S), std::logic_error); // uninstantiated
-}
-
-TEST(Graph, EventsInsideACaptureReplayPerLaunch) {
-  // record inside a capture re-arms the event at every replay (the
-  // generation is minted when the node runs, not at capture time).
-  GpuDevice Dev;
-  Dev.setWorkers(2);
-  Stream S(Dev);
-  Event E;
-  S.beginCapture();
-  S.enqueue([] {});
-  S.record(E);
-  GraphExec Exec = S.endCapture().instantiate();
-  EXPECT_TRUE(E.query()) << "capture must not arm the event";
-  for (int Round = 0; Round != 3; ++Round) {
-    Exec.launch(S);
-    S.synchronize();
-    EXPECT_TRUE(E.query()) << "round " << Round;
-  }
-}
-
-TEST(Graph, CaptureUnderRaceDetectionStillReplays) {
-  // Race detection forces sequential execution; capture must still
-  // record (not execute inline) and the replay must produce the same
-  // result as everywhere else.
-  GpuDevice Dev;
-  Dev.setRaceDetection(true);
-  const size_t N = 32;
-  Stream S(Dev);
-  S.beginCapture();
-  auto D = descend::rt::allocCopyCapture<double>(S, 0, N);
-  S.enqueue([&Dev, D] {
-    launchPhases(Dev, Dim3{1}, Dim3{32}, 0, [D](BlockCtx &B, ThreadCtx &T) {
-      D.store(B, T.X, D.load(B, T.X) * 3.0);
-    });
-  });
-  descend::rt::copyToHostCapture(S, 0, D);
-  GraphExec Exec = S.endCapture().instantiate();
-  descend::rt::HostBuffer<double> Host(N, 2.0);
-  Exec.bind(0, Host);
-  Exec.launch(S);
-  S.synchronize();
-  for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Host[I], 6.0);
-  EXPECT_TRUE(Dev.findRaces().empty());
 }
 
 //===----------------------------------------------------------------------===//

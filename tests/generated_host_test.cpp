@@ -98,83 +98,4 @@ TEST(GeneratedHost, DriverIsRerunnable) {
   EXPECT_EQ(A[0], 4.5);
 }
 
-//===----------------------------------------------------------------------===//
-// Graph-mode overloads: capture on the first call, replay afterwards —
-// bit-identical to the synchronous GpuDevice& driver on every call (the
-// ISSUE 7 acceptance pin).
-//===----------------------------------------------------------------------===//
-
-TEST(GeneratedHost, GraphDriverBitIdenticalToSyncAcrossReplays) {
-  const size_t N = 8 * 256;
-  sim::GpuDevice DevGraph, DevSync;
-  DevGraph.setWorkers(4);
-  sim::Stream S(DevGraph);
-  sim::GraphExec G; // capture happens on the first run() call
-  for (int Round = 0; Round != 5; ++Round) {
-    rt::HostBuffer<double> Graph(N, 0.0), Sync(N, 0.0);
-    for (size_t I = 0; I != N; ++I)
-      Graph[I] = Sync[I] = static_cast<double>((I * 31 + Round) % 977) * 0.5;
-    descend::gen::run(S, G, Graph);
-    descend::gen::run(DevSync, Sync);
-    ASSERT_EQ(0, std::memcmp(Graph.data(), Sync.data(), N * sizeof(double)))
-        << "replay " << Round;
-  }
-  EXPECT_TRUE(G.instantiated());
-  EXPECT_EQ(G.opCount(), 3u); // H2D, launch, D2H
-}
-
-TEST(GeneratedHost, GraphReductionDriverMatchesSyncIncludingHostTail) {
-  // run_small has a CPU finish loop after the captured prefix: the tail
-  // must re-execute per call against the replayed D2H results.
-  const unsigned NB = 8;
-  const size_t N = static_cast<size_t>(NB) * 256;
-  sim::GpuDevice DevGraph, DevSync;
-  DevGraph.setWorkers(4);
-  sim::Stream S(DevGraph);
-  sim::GraphExec G;
-  for (int Round = 0; Round != 4; ++Round) {
-    rt::HostBuffer<double> Data(N, 0.0), Partials(NB, 0.0), Total(1, 0.0);
-    rt::HostBuffer<double> SData(N, 0.0), SPartials(NB, 0.0), STotal(1, 0.0);
-    for (size_t I = 0; I != N; ++I)
-      Data[I] = SData[I] = static_cast<double>((I + Round * 7) % 1000) * 0.001;
-    descend::gen::run_small(S, G, Data, Partials, Total);
-    descend::gen::run_small(DevSync, SData, SPartials, STotal);
-    ASSERT_EQ(0, std::memcmp(Partials.data(), SPartials.data(),
-                             NB * sizeof(double)))
-        << "replay " << Round;
-    ASSERT_EQ(0, std::memcmp(Total.data(), STotal.data(), sizeof(double)))
-        << "replay " << Round;
-  }
-  EXPECT_EQ(G.opCount(), 4u); // 2x H2D, launch, D2H
-}
-
-TEST(GeneratedHost, GraphDriverRebindsFreshBuffersPerCall) {
-  // Distinct host buffers per request against one captured graph: each
-  // call's results land in that call's buffer.
-  const size_t N = 8 * 256;
-  sim::GpuDevice Dev;
-  Dev.setWorkers(2);
-  sim::Stream S(Dev);
-  sim::GraphExec G;
-  rt::HostBuffer<double> A(N, 2.0), B(N, 5.0);
-  descend::gen::run(S, G, A);
-  descend::gen::run(S, G, B);
-  EXPECT_EQ(A[0], 6.0);
-  EXPECT_EQ(B[0], 15.0);
-}
-
-TEST(GeneratedHost, GraphDriverRejectsWrongSizedRebind) {
-  // The capture pins byte sizes; a later call with a differently sized
-  // buffer must fail the bind eagerly (same contract as rt:: copies).
-  const size_t N = 8 * 256;
-  sim::GpuDevice Dev;
-  Dev.setWorkers(2);
-  sim::Stream S(Dev);
-  sim::GraphExec G;
-  rt::HostBuffer<double> Right(N, 1.0);
-  descend::gen::run(S, G, Right);
-  rt::HostBuffer<double> Wrong(N / 2, 1.0);
-  EXPECT_THROW(descend::gen::run(S, G, Wrong), std::invalid_argument);
-}
-
 } // namespace

@@ -158,218 +158,37 @@ fn scale_vec<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
 }
 
 //===----------------------------------------------------------------------===//
-// Stream overloads (the asynchronous sim drivers)
+// One synchronous driver per host function
 //===----------------------------------------------------------------------===//
 
-TEST(HostGenStream, EmitsAsyncOverloadWithSingleJoin) {
-  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  // The stream overload sits next to the synchronous driver...
-  EXPECT_NE(O.Artifact.find("inline void run(descend::sim::Stream &_stream"),
-            std::string::npos)
-      << O.Artifact;
-  // ...transfers enqueue, the launch is a stream operation...
-  EXPECT_NE(O.Artifact.find("descend::rt::allocCopyAsync(_stream, data)"),
-            std::string::npos)
-      << O.Artifact;
-  EXPECT_NE(O.Artifact.find("_stream.enqueue([=, &_dev] { reduce(_dev, "
-                            "d_in, d_out); });"),
-            std::string::npos)
-      << O.Artifact;
-  EXPECT_NE(
-      O.Artifact.find("descend::rt::copyToHostAsync(_stream, partials"),
-      std::string::npos)
-      << O.Artifact;
-  // ...and exactly one join sits before the CPU finish reads partials.
-  // (The graph overload follows with the same signature prefix; bound the
-  // stream overload at its start.)
-  size_t StreamStart =
-      O.Artifact.find("inline void run(descend::sim::Stream &_stream");
-  size_t GraphStart = O.Artifact.find(
-      "inline void run(descend::sim::Stream &_stream", StreamStart + 1);
-  ASSERT_NE(GraphStart, std::string::npos) << O.Artifact;
-  std::string StreamPart =
-      O.Artifact.substr(StreamStart, GraphStart - StreamStart);
-  size_t FirstSync = StreamPart.find("_stream.synchronize();");
-  ASSERT_NE(FirstSync, std::string::npos) << StreamPart;
-  EXPECT_LT(FirstSync, StreamPart.find("total[0] = 0.0;")) << StreamPart;
-  EXPECT_EQ(StreamPart.find("_stream.synchronize();", FirstSync + 1),
-            std::string::npos)
-      << "expected a single join in the reduction stream driver\n"
-      << StreamPart;
+size_t countOf(const std::string &Hay, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Hay.find(Needle); At != std::string::npos;
+       At = Hay.find(Needle, At + Needle.size()))
+    ++N;
+  return N;
 }
 
-TEST(HostGenStream, LoopBodyMixingHostAndDeviceOpsJoinsPerIteration) {
-  // A host loop whose body touches host memory *and* enqueues device
-  // work must join at the end of every iteration: otherwise iteration
-  // N+1's host write races with iteration N's still-pending async copy.
-  CompilerInvocation Inv;
-  Inv.BufferName = "pipeline.descend";
-  Inv.Defines["nb"] = 4;
-  Inv.BackendName = "sim";
-  Session S(Inv);
-  CompileResult R = S.run(R"(
-fn scale<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
--[grid: gpu.grid<X<nb>, X<256>>]-> () {
-  sched(X) block in grid {
-    sched(X) thread in block {
-      vec.group::<256>[[block]][[thread]] =
-        vec.group::<256>[[block]][[thread]] * 3.0
-    }
+TEST(HostGen, SimEmitsOneSyncDriverPerHostFunction) {
+  const std::pair<const char *, std::map<std::string, long long>> Programs[] =
+      {{"quickstart_host.descend", {{"nb", 8}}},
+       {"reduction_host.descend", {{"nb", 8}}},
+       {"matmul_host.descend", {{"nt", 4}}}};
+  for (const auto &[File, Defines] : Programs) {
+    Outcome O = compileProgram(File, "sim", Defines);
+    ASSERT_TRUE(O.Ok) << File << "\n" << O.Rendered;
+    EXPECT_EQ(countOf(O.Artifact, "inline void run"), 1u)
+        << File << "\n" << O.Artifact;
+    EXPECT_EQ(countOf(O.Artifact,
+                      "inline void run(descend::sim::GpuDevice &_dev"),
+              1u)
+        << File;
+    // No asynchronous or captured variant rides along.
+    for (const char *Absent : {"sim::Stream", "Graph", "Capture"})
+      EXPECT_EQ(O.Artifact.find(Absent), std::string::npos)
+          << File << " mentions " << Absent << "\n"
+          << O.Artifact;
   }
-}
-fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
-                 ticks: &uniq cpu.mem [f64; 4])
--[t: cpu.thread]-> () {
-  let d = GpuGlobal::alloc_copy(&*staging);
-  for r in [0..3] {
-    (*ticks)[0] = 1.0;
-    copy_to_gpu(&uniq d, &*staging);
-    scale::<<<X<nb>, X<256>>>>(&uniq d)
-  }
-}
-)");
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  // Inside the loop of the stream overload: the host store must be
-  // preceded (via the back-edge join) by a synchronize, i.e. the loop
-  // body ends with one.
-  size_t StreamFn =
-      R.Artifact.find("inline void run(descend::sim::Stream &_stream");
-  ASSERT_NE(StreamFn, std::string::npos) << R.Artifact;
-  std::string StreamPart = R.Artifact.substr(StreamFn);
-  size_t Loop = StreamPart.find("for (long long r = 0; r != 3; ++r) {");
-  ASSERT_NE(Loop, std::string::npos) << StreamPart;
-  size_t LoopEnd = StreamPart.find("  }\n", Loop);
-  ASSERT_NE(LoopEnd, std::string::npos);
-  std::string Body = StreamPart.substr(Loop, LoopEnd - Loop);
-  size_t LastSync = Body.rfind("_stream.synchronize();");
-  ASSERT_NE(LastSync, std::string::npos)
-      << "loop body must join before its back edge\n"
-      << Body;
-  EXPECT_GT(LastSync, Body.find("scale(_dev, d)"))
-      << "the join must come after the enqueued launch\n"
-      << Body;
-}
-
-//===----------------------------------------------------------------------===//
-// Graph overloads (capture on first call, replay + rebind after)
-//===----------------------------------------------------------------------===//
-
-TEST(HostGenGraph, EmitsCaptureReplayOverload) {
-  Outcome O = compileProgram("quickstart_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  // The third overload takes the stream plus a GraphExec...
-  size_t GraphFn = O.Artifact.find(
-      "inline void run(descend::sim::Stream &_stream,\n"
-      "    descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << O.Artifact;
-  std::string GraphPart = O.Artifact.substr(GraphFn);
-  // ...captures the transfer/launch sequence on the first call only...
-  EXPECT_NE(GraphPart.find("if (!_graph.instantiated()) {"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_stream.beginCapture();"), std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("descend::rt::allocCopyCapture<double>(_stream, "
-                           "0, host_vec.size(), \"host_vec\")"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("descend::rt::copyToHostCapture(_stream, 0, "
-                           "d_vec, \"host_vec\");"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph = _stream.endCapture().instantiate();"),
-            std::string::npos)
-      << GraphPart;
-  // ...and rebinds + replays on every call.
-  EXPECT_NE(GraphPart.find("_graph.bind(0, host_vec, \"host_vec\");"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph.launch(_stream);"), std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_stream.synchronize();"), std::string::npos)
-      << GraphPart;
-}
-
-TEST(HostGenGraph, ReductionCapturesPrefixAndKeepsHostTail) {
-  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  size_t GraphFn = O.Artifact.find("descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << O.Artifact;
-  std::string GraphPart = O.Artifact.substr(GraphFn);
-  // data and partials each get a slot, in first-use order...
-  EXPECT_NE(GraphPart.find("allocCopyCapture<double>(_stream, 0, "
-                           "data.size(), \"data\")"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("allocCopyCapture<double>(_stream, 1, "
-                           "partials.size(), \"partials\")"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph.bind(0, data, \"data\");"),
-            std::string::npos)
-      << GraphPart;
-  EXPECT_NE(GraphPart.find("_graph.bind(1, partials, \"partials\");"),
-            std::string::npos)
-      << GraphPart;
-  // ...the D2H copy reuses partials' slot...
-  EXPECT_NE(GraphPart.find("copyToHostCapture(_stream, 1, d_out, "
-                           "\"partials\");"),
-            std::string::npos)
-      << GraphPart;
-  // ...and the CPU finish loop emits as a plain host tail after the
-  // replay, behind a join.
-  size_t Launch = GraphPart.find("_graph.launch(_stream);");
-  size_t Sync = GraphPart.find("_stream.synchronize();");
-  size_t Tail = GraphPart.find("total[0] = 0.0;");
-  ASSERT_NE(Launch, std::string::npos) << GraphPart;
-  ASSERT_NE(Sync, std::string::npos) << GraphPart;
-  ASSERT_NE(Tail, std::string::npos) << GraphPart;
-  EXPECT_LT(Launch, Sync) << GraphPart;
-  EXPECT_LT(Sync, Tail) << GraphPart;
-}
-
-TEST(HostGenGraph, UncapturableShapeFallsBackToStreamBody) {
-  // The loop re-transfers into the capture-produced buffer `d`, so the
-  // prefix is unusable (post-prefix statements reach into a capture
-  // local): the graph overload must degrade to the plain stream body
-  // instead of failing the compile.
-  CompilerInvocation Inv;
-  Inv.BufferName = "pipeline.descend";
-  Inv.Defines["nb"] = 4;
-  Inv.BackendName = "sim";
-  Session S(Inv);
-  CompileResult R = S.run(R"(
-fn scale<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
--[grid: gpu.grid<X<nb>, X<256>>]-> () {
-  sched(X) block in grid {
-    sched(X) thread in block {
-      vec.group::<256>[[block]][[thread]] =
-        vec.group::<256>[[block]][[thread]] * 3.0
-    }
-  }
-}
-fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
-                 ticks: &uniq cpu.mem [f64; 4])
--[t: cpu.thread]-> () {
-  let d = GpuGlobal::alloc_copy(&*staging);
-  for r in [0..3] {
-    (*ticks)[0] = 1.0;
-    copy_to_gpu(&uniq d, &*staging);
-    scale::<<<X<nb>, X<256>>>>(&uniq d)
-  }
-}
-)");
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  size_t GraphFn = R.Artifact.find("descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << R.Artifact;
-  std::string GraphPart = R.Artifact.substr(GraphFn);
-  EXPECT_NE(GraphPart.find("(void)_graph;"), std::string::npos) << GraphPart;
-  EXPECT_EQ(GraphPart.find("beginCapture"), std::string::npos) << GraphPart;
-  // The stream-mode body still emits in full.
-  EXPECT_NE(GraphPart.find("descend::rt::allocCopyAsync(_stream, staging)"),
-            std::string::npos)
-      << GraphPart;
 }
 
 //===----------------------------------------------------------------------===//
@@ -460,6 +279,29 @@ TEST(HostGenDiagnostics, DevicePointerDerefOnHostRejected) {
       << O.Rendered;
 }
 
+TEST(HostGenDiagnostics, MultiDimensionalHostIndexRejectedByEveryBackend) {
+  // Host buffers are flat in every target, so `a[1][2]` has no C++
+  // spelling; sim and cuda must reject it with the vm's text instead of
+  // printing a subscript that does not compile.
+  for (const char *Backend : {"sim", "cuda", "vm"}) {
+    CompilerInvocation Inv;
+    Inv.BufferName = "multi_dim.descend";
+    Inv.BackendName = Backend;
+    Session S(Inv);
+    CompileResult R = S.run(R"(
+fn main(a: &uniq cpu.mem [[f64; 4]; 2]) -[t: cpu.thread]-> () {
+  a[1][2] = 3.0
+}
+)");
+    EXPECT_FALSE(R.Ok) << Backend << "\n" << R.Artifact;
+    EXPECT_NE(S.renderDiagnostics().find(
+                  "place `a[1][2]` indexes more than one dimension"),
+              std::string::npos)
+        << Backend << "\n"
+        << S.renderDiagnostics();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // hostgen API details
 //===----------------------------------------------------------------------===//
@@ -513,6 +355,35 @@ fn main(buf: &uniq cpu.mem [f64; 16]) -[t: cpu.thread]-> () {
       << R.Artifact;
   EXPECT_NE(R.Artifact.find("prepare(_dev, buf);"), std::string::npos)
       << R.Artifact;
+}
+
+TEST(HostGenApi, ScalarCallArgumentsAreExpressions) {
+  // A scalar parameter takes any host expression; an indexed place must
+  // pass the element, not the whole buffer it indexes.
+  for (const char *Backend : {"sim", "cuda"}) {
+    CompilerInvocation Inv;
+    Inv.BufferName = "call_expr.descend";
+    Inv.BackendName = Backend;
+    Session S(Inv);
+    CompileResult R = S.run(R"(
+fn set1(a: &uniq cpu.mem [f64; 4], s: f64) -[t: cpu.thread]-> () {
+  (*a)[1] = s
+}
+fn main(a: &uniq cpu.mem [f64; 4], b: &uniq cpu.mem [f64; 4])
+-[t: cpu.thread]-> () {
+  set1(&uniq *a, 2.0 * 3.0);
+  set1(&uniq *a, (*b)[3])
+}
+)");
+    ASSERT_TRUE(R.Ok) << Backend << "\n" << S.renderDiagnostics();
+    const std::string Dev = std::string(Backend) == "sim" ? "_dev, " : "";
+    EXPECT_NE(R.Artifact.find("set1(" + Dev + "a, (2.0 * 3.0));"),
+              std::string::npos)
+        << R.Artifact;
+    EXPECT_NE(R.Artifact.find("set1(" + Dev + "a, b[3]);"),
+              std::string::npos)
+        << R.Artifact;
+  }
 }
 
 TEST(HostGenApi, UnsupportedHostConstructIsReported) {

@@ -4,8 +4,8 @@
 // pins the matmul (nt=4) profile to exact values — every load, store,
 // barrier and modeled bank conflict — and proves the numbers are
 // bit-identical across every execution path that can run a kernel:
-// sim-generated C++, the vm interpreter, graph replay, one worker or
-// many, race detection on or off. The bank-conflict model itself is
+// sim-generated C++, the vm interpreter, one worker or many, race
+// detection on or off. The bank-conflict model itself is
 // unit-tested on handwritten phases with known access patterns. The
 // trace half checks the Chrome-trace-event JSON structure.
 //
@@ -262,36 +262,6 @@ TEST(ObsCounters, TunedMatmulEliminatesInnerConflictsBitIdentically) {
   EXPECT_EQ(Tuned.sharedLoads(), Def.sharedLoads());
   EXPECT_EQ(Tuned.sharedStores(), Def.sharedStores());
   EXPECT_EQ(Tuned.barriers(), Def.barriers());
-}
-
-TEST(ObsCounters, GraphReplayMatchesSyncLaunch) {
-  const size_t N = 2048;
-
-  sim::GpuDevice SyncDev;
-  SyncDev.setCounters(true);
-  rt::HostBuffer<double> SyncHost(N, 1.0);
-  gen::run(SyncDev, SyncHost);
-  sim::LaunchStats Sync = SyncDev.lastLaunchStats();
-  EXPECT_EQ(Sync.globalLoads(), N);
-  EXPECT_EQ(Sync.globalStores(), N);
-  EXPECT_EQ(Sync.Blocks, 8u);
-  EXPECT_EQ(Sync.barriers(), 8u);
-
-  sim::GpuDevice GraphDev;
-  GraphDev.setCounters(true);
-  sim::Stream S(GraphDev);
-  sim::GraphExec Graph;
-  rt::HostBuffer<double> GraphHost(N, 1.0);
-  gen::run(S, Graph, GraphHost); // first call: capture + instantiate
-  gen::run(S, Graph, GraphHost); // second call: pure replay
-  EXPECT_EQ(GraphHost[0], 9.0);  // scaled by 3.0 twice
-
-  // The replayed launch counts exactly like the synchronous one.
-  sim::LaunchStats Replay = GraphDev.lastLaunchStats();
-  EXPECT_EQ(Sync, Replay);
-  EXPECT_EQ(GraphDev.totalStats().Launches, 2u);
-  ASSERT_EQ(GraphDev.launchLog().size(), 2u);
-  EXPECT_EQ(GraphDev.launchLog()[0], GraphDev.launchLog()[1]);
 }
 
 TEST(ObsCounters, CountersOffByDefaultAndCostNothingToSkip) {

@@ -429,6 +429,47 @@ TEST(VmHost, ReductionDriverBitIdenticalToGenerated) {
   EXPECT_NEAR(Got, Expected, 1e-9);
 }
 
+TEST(VmHost, ExpressionArgumentsToHostCallsAreEvaluated) {
+  // Scalar arguments passed to another host function are evaluated into
+  // a slot typed by the callee's parameter — the generated C++ passes
+  // `(2.0 * 3.0)` and `b[3]` by value the same way.
+  CompilerInvocation Inv;
+  Inv.BufferName = "call_expr.descend";
+  Inv.RunUntil = Stage::Typecheck;
+  Session S(Inv);
+  CompileResult R = S.run(R"(
+fn set1(a: &uniq cpu.mem [f64; 4], s: f64) -[t: cpu.thread]-> () {
+  (*a)[1] = s
+}
+fn set2(a: &uniq cpu.mem [f64; 4], s: f64) -[t: cpu.thread]-> () {
+  (*a)[2] = s
+}
+fn main(a: &uniq cpu.mem [f64; 4], b: &uniq cpu.mem [f64; 4])
+-[t: cpu.thread]-> () {
+  set1(&uniq *a, 2.0 * 3.0);
+  set2(&uniq *a, (*b)[3])
+}
+)");
+  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
+  vm::CompileVmResult C = vm::compile(*S.module());
+  ASSERT_TRUE(C.Ok) << C.Error;
+  const vm::HostFnIR *Main = C.Program->findHostFn("main");
+  ASSERT_NE(Main, nullptr);
+
+  sim::GpuDevice Dev;
+  auto A = vm::makeHostArray(ScalarKind::F64, 4, 0.0);
+  auto B = vm::makeHostArray(ScalarKind::F64, 4, 5.0);
+  vm::RunStatus St = vm::runHostFn(
+      Dev, *C.Program, *Main, {vm::HostVal::array(A), vm::HostVal::array(B)});
+  ASSERT_TRUE(St.Ok) << St.Error;
+  double Got[4];
+  std::memcpy(Got, A->Bytes.data(), sizeof(Got));
+  EXPECT_EQ(Got[0], 0.0);
+  EXPECT_EQ(Got[1], 6.0);
+  EXPECT_EQ(Got[2], 5.0);
+  EXPECT_EQ(Got[3], 0.0);
+}
+
 TEST(VmHost, ExecuteMainDigestsHostArrays) {
   // Session::executeMain is the `descendc --run` entry point: default
   // fill 1.0, RESULT digest per host-array parameter.
